@@ -4,10 +4,12 @@ Modules are layered bottom-up:
 
 - :mod:`repro.core.schema` / :mod:`repro.core.constraints` — data model for
   relations, FK DAGs, intervals, DNF predicates and cardinality constraints.
-- :mod:`repro.core.workload` — AQP derivation (executed on Spark) → CCs.
+- :mod:`repro.core.workload` — AQP derivation (executed on pandas or Spark)
+  → CCs.
 - :mod:`repro.core.preprocess` — DataSynth's view/sub-view decomposition.
 - :mod:`repro.core.regions` / :mod:`repro.core.grid` — HYDRA's
-  region-partitioning (Algorithms 1 & 2) vs DataSynth's grid-partitioning.
+  region-partitioning (Algorithms 1 & 2, one vectorized engine) vs
+  DataSynth's grid-partitioning, both cut at shared-attribute boundaries.
 - :mod:`repro.core.lp` / :mod:`repro.core.solver` — LP formulation and the
   simplex feasibility substrate standing in for Z3.
 - :mod:`repro.core.align` / :mod:`repro.core.summary` — deterministic
@@ -15,6 +17,5 @@ Modules are layered bottom-up:
 - :mod:`repro.core.tuplegen` / :mod:`repro.core.materialize` — dynamic
   regeneration on Spark and static materialization.
 - :mod:`repro.core.hydra` / :mod:`repro.core.datasynth` — end-to-end drivers.
-- :mod:`repro.core.metrics` / :mod:`repro.core.experiments` — volumetric
-  similarity measurement and per-table experiment harnesses.
+- :mod:`repro.core.metrics` — volumetric similarity measurement.
 """

@@ -19,19 +19,14 @@ feasible point which, rounded, becomes the NumTuples assignment.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import CC, Interval
+from .constraints import CC
 from .grid import grid_partition, grid_variable_count
 from .preprocess import ViewPlan
-from .regions import (
-    Region,
-    partition_lp_regions,
-    refine_regions_for_consistency,
-    shared_cell,
-)
+from .regions import Region, partition_lp_regions, shared_cell
 from .solver import LinearSystem, round_solution, solve_feasible
 
 
@@ -129,28 +124,24 @@ def formulate_view(
         boundaries = {a: sorted(points[a]) for a in shared_attrs}
 
     # 2. Partition each sub-view against the CCs it can express, already
-    #    refined to the shared-attribute cells (vectorized fast path for
-    #    region mode).
+    #    refined to the shared-attribute cells.
     sub_forms: list[SubViewFormulation] = []
     grid_total = 0
     for sv, sv_ccs in zip(plan.subviews, sv_cc_idx):
         cc_objs = [plan.ccs[i] for i in sv_ccs]
         domain = {a: plan.domain[a] for a in sv}
         grid_total += grid_variable_count(sv, domain, cc_objs)
-        sh = tuple(a for a in sv if a in shared_attrs)
         if mode == "region":
-            regions = partition_lp_regions(sv, domain, cc_objs, sh, boundaries)
+            regions = partition_lp_regions(sv, domain, cc_objs, boundaries)
         else:
             kwargs = {} if grid_cell_cap is None else {"cell_cap": grid_cell_cap}
-            regions = grid_partition(sv, domain, cc_objs, **kwargs)
-            regions = refine_regions_for_consistency(
-                regions, sv, sh, {a: boundaries.get(a, []) for a in sh}
-            )
+            regions = grid_partition(sv, domain, cc_objs, boundaries, **kwargs)
         # Partitioning labels regions with indices into cc_objs; remap them
         # to indices into the view's full CC list.
-        regions = [
-            Region(r.boxes, frozenset(sv_ccs[i] for i in r.label)) for r in regions
-        ]
+        relabel = {
+            lab: frozenset(sv_ccs[i] for i in lab) for lab in {r.label for r in regions}
+        }
+        regions = [Region(r.box, relabel[r.label]) for r in regions]
         sub_forms.append(SubViewFormulation(attrs=sv, regions=regions, ccs=sv_ccs))
 
     # 3. Assign variable offsets.
@@ -178,14 +169,10 @@ def formulate_view(
             continue
         cells1: dict[tuple, list[int]] = {}
         for i, r in enumerate(s1.regions):
-            cells1.setdefault(
-                shared_cell(r, common, boundaries), []
-            ).append(s1.offset + i)
+            cells1.setdefault(shared_cell(r, common), []).append(s1.offset + i)
         cells2: dict[tuple, list[int]] = {}
         for i, r in enumerate(s2.regions):
-            cells2.setdefault(
-                shared_cell(r, common, boundaries), []
-            ).append(s2.offset + i)
+            cells2.setdefault(shared_cell(r, common), []).append(s2.offset + i)
         for cell in set(cells1) | set(cells2):
             terms = [(i, 1.0) for i in cells1.get(cell, [])]
             terms += [(i, -1.0) for i in cells2.get(cell, [])]

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-import pyspark.sql.functions as F
 
 from .constraints import CC
 from .schema import Schema
-from .workload import _join_pandas, _join_spark
+from .workload import _count_pandas, _count_spark
 
 
 @dataclass
@@ -63,24 +62,19 @@ def _join_order(schema: Schema, cc: CC) -> tuple[str, ...]:
 def achieved_counts_pandas(
     schema: Schema, tables: dict[str, pd.DataFrame], ccs: list[CC]
 ) -> list[CCError]:
-    out = []
-    for cc in ccs:
-        joined = _join_pandas(schema, tables, _join_order(schema, cc))
-        n = len(joined) if cc.predicate.is_true else int(cc.predicate.mask(joined).sum())
-        out.append(CCError(cc=cc, achieved=n))
-    return out
+    return [
+        CCError(cc, _count_pandas(schema, tables, _join_order(schema, cc), cc.predicate))
+        for cc in ccs
+    ]
 
 
 def achieved_counts_spark(
     schema: Schema, tables: dict[str, DataFrame], ccs: list[CC]
 ) -> list[CCError]:
-    out = []
-    for cc in ccs:
-        joined = _join_spark(schema, tables, _join_order(schema, cc))
-        if not cc.predicate.is_true:
-            joined = joined.filter(F.expr(cc.predicate.to_sql()))
-        out.append(CCError(cc=cc, achieved=joined.count()))
-    return out
+    return [
+        CCError(cc, _count_spark(schema, tables, _join_order(schema, cc), cc.predicate))
+        for cc in ccs
+    ]
 
 
 def error_cdf(

@@ -7,18 +7,22 @@ a block only when some sub-constraint's projection actually splits it.
 Algorithm 1 ("Optimal Partition") then labels each block with the set of CCs
 it satisfies and merges equal-label blocks into *regions* — the equivalence
 classes of :math:`R_\\mathcal{C}` (Lemma 4.3), i.e. the minimum number of LP
-variables that can encode the CCs exactly.
+variables that can encode the CCs exactly. §4.2's consistency constraints
+further split each region at the boundaries of attributes shared with other
+sub-views, so that every region lies in one shared-attribute cell.
 
-A region is therefore a labelled union of boxes. The LP assigns one variable
-per region; the summary generator later places the region's NumTuples on its
-lexicographically first box (§5.2's deterministic choice).
+The LP assigns one variable per region; the summary generator places the
+region's NumTuples on its lexicographically first box (§5.2's deterministic
+choice), which is therefore the only box a :class:`Region` keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .constraints import CC, Conjunct, Interval, sub_constraints
+import numpy as np
+
+from .constraints import CC, Interval, sub_constraints
 
 Box = dict[str, Interval]
 
@@ -28,104 +32,58 @@ def box_key(box: Box, attrs: Sequence[str]) -> tuple[int, ...]:
     return tuple(box[a].lo for a in attrs)
 
 
-def split_interval(iv: Interval, cut: Interval) -> list[Interval]:
-    """Split ``iv`` at the boundaries of ``cut`` (up to three pieces).
-
-    This realizes Definition 4.6's refinement ``b+ / b-`` while keeping
-    every block an axis-aligned box (``b-`` may be two pieces).
-    """
-    points = sorted({p for p in (cut.lo, cut.hi) if iv.lo < p < iv.hi})
-    out, lo = [], iv.lo
-    for p in points:
-        out.append(Interval(lo, p))
-        lo = p
-    out.append(Interval(lo, iv.hi))
-    return out
-
-
-def valid_partition(
-    attrs: Sequence[str], domain: Mapping[str, Interval], subs: Iterable[Conjunct]
-) -> list[Box]:
-    """Algorithm 2: a partition where every block is uniformly in/out of
-    every sub-constraint.
-
-    Iterates dimensions in ``attrs`` order. A block is cut at a
-    sub-constraint's projection boundaries only when the block still lies
-    *inside* that sub-constraint's restrictions on all previously processed
-    dimensions: a block already outside on an earlier dimension evaluates
-    the whole conjunction to false at every point, so refining it further
-    cannot change any equivalence class. This pruning is what keeps
-    region-partitioning's intermediate block count near the final region
-    count instead of degenerating toward the ℓⁿ grid.
-    """
-    blocks: list[Box] = [dict(domain)]
-    subs = list(subs)
-    for di, a in enumerate(attrs):
-        earlier = attrs[:di]
-        for c in subs:
-            proj = c.restriction(a)
-            if proj is None:
-                continue
-            # Restrictions of c on already-processed dims; every block is
-            # fully inside or fully outside each (by induction).
-            prior = [
-                (e, r)
-                for e in earlier
-                if (r := c.restriction(e)) is not None
-            ]
-            refined: list[Box] = []
-            for b in blocks:
-                alive = all(r.contains_interval(b[e]) for e, r in prior)
-                pieces = split_interval(b[a], proj) if alive else [b[a]]
-                if len(pieces) == 1:
-                    refined.append(b)
-                else:
-                    for piece in pieces:
-                        nb = dict(b)
-                        nb[a] = piece
-                        refined.append(nb)
-            blocks = refined
-    return blocks
-
-
 @dataclass(frozen=True)
 class Region:
-    """A block of the optimal partition: equal-label boxes merged (Alg 1).
+    """One LP variable: a labelled region of the optimal partition.
 
-    ``label`` is the frozenset of CC indices (into the formulation's CC
-    list) that every point of the region satisfies.
+    ``box`` is the region's lexicographically first box, where its
+    NumTuples are placed; ``label`` is the frozenset of CC indices (into
+    the formulation's CC list) that every point of the region satisfies.
     """
 
-    boxes: tuple[tuple[tuple[str, Interval], ...], ...]
+    box: Box
     label: frozenset[int]
 
-    def box_dicts(self) -> list[Box]:
-        return [dict(b) for b in self.boxes]
 
-    def first_box(self) -> Box:
-        """Deterministic representative box (carries the region's count)."""
-        return dict(self.boxes[0])
+def _split_at(los, his, sig_ids, di, p, alive=None):
+    """Cut every box straddling ``p`` on dimension ``di`` (only the
+    ``alive`` ones, if given): the left piece stays in place, the right
+    piece is appended with the same signature."""
+    strad = (los[:, di] < p) & (his[:, di] > p)
+    if alive is not None:
+        strad &= alive
+    if not strad.any():
+        return los, his, sig_ids
+    right_los = los[strad].copy()
+    right_los[:, di] = p
+    right_his = his[strad].copy()
+    his[strad, di] = p
+    return (
+        np.vstack([los, right_los]),
+        np.vstack([his, right_his]),
+        np.concatenate([sig_ids, sig_ids[strad]]),
+    )
 
 
-def _freeze(box: Box, attrs: Sequence[str]) -> tuple[tuple[str, Interval], ...]:
-    return tuple((a, box[a]) for a in attrs)
+def _partition_arrays(
+    attrs: Sequence[str],
+    domain: Mapping[str, Interval],
+    ccs: Sequence[CC],
+):
+    """Algorithms 1+2 on boxes held as numpy arrays.
 
+    Returns ``(los, his, sig_ids, labels)``: row *i* of ``los``/``his`` is
+    a block, ``sig_ids[i]`` its *alive signature* — the set of
+    sub-constraints the block still fully satisfies — and
+    ``labels[sig_ids[i]]`` the frozenset of CC indices it satisfies.
 
-def optimal_partition(
-    attrs: Sequence[str], domain: Mapping[str, Interval], ccs: Sequence[CC]
-) -> list[Region]:
-    """Algorithms 1+2 fused: the optimal partition w.r.t. ``ccs``.
-
-    Instead of materializing every block and labelling it afterwards, the
-    partition is evolved as groups of boxes keyed by their *alive
-    signature* — the set of sub-constraints the group still fully
-    satisfies on all processed dimensions. A sub-constraint only ever
-    splits groups still alive for it (dead groups are uniformly false
-    regardless of later dimensions), and groups with equal signatures are
-    re-merged after every step, so the working-set size tracks the final
-    region count rather than the refined block count. Final labels follow
-    from signatures: a DNF CC is satisfied iff any of its sub-constraints
-    stays alive (Lemma 4.4's label construction).
+    A sub-constraint only ever splits blocks still alive for it: a block
+    already outside it on an earlier dimension is uniformly false there
+    regardless of later dimensions. Adjacent blocks whose signatures
+    re-converge are coalesced after every dimension pass, so the working
+    set tracks the final region count rather than the ℓⁿ grid. A DNF CC
+    is satisfied iff any of its sub-constraints stays alive (Lemma 4.4's
+    label construction).
     """
     subs = sub_constraints(ccs)
     # Map each sub-constraint index to the CCs whose DNF contains it.
@@ -137,105 +95,6 @@ def optimal_partition(
                 cc_of_sub[si].append(j)
                 si += 1
     # TRUE CCs are satisfied everywhere.
-    true_ccs = frozenset(j for j, cc in enumerate(ccs) if cc.predicate.is_true)
-
-    state: dict[frozenset[int], list[Box]] = {
-        frozenset(range(len(subs))): [dict(domain)]
-    }
-    for a in attrs:
-        for ci, c in enumerate(subs):
-            proj = c.restriction(a)
-            if proj is None:
-                continue
-            new_state: dict[frozenset[int], list[Box]] = {}
-            for sig, boxes in state.items():
-                if ci not in sig:
-                    new_state.setdefault(sig, []).extend(boxes)
-                    continue
-                ins: list[Box] = []
-                outs: list[Box] = []
-                for b in boxes:
-                    for piece in split_interval(b[a], proj):
-                        nb = dict(b)
-                        nb[a] = piece
-                        (ins if proj.contains_interval(piece) else outs).append(nb)
-                if ins:
-                    new_state.setdefault(sig, []).extend(ins)
-                if outs:
-                    new_state.setdefault(sig - {ci}, []).extend(outs)
-            state = new_state
-
-    by_label: dict[frozenset[int], list[Box]] = {}
-    for sig, boxes in state.items():
-        label = true_ccs | frozenset(
-            j for ci in sig for j in cc_of_sub[ci]
-        )
-        by_label.setdefault(label, []).extend(boxes)
-    regions = []
-    for label, boxes in by_label.items():
-        boxes.sort(key=lambda b: box_key(b, attrs))
-        regions.append(Region(tuple(_freeze(b, attrs) for b in boxes), label))
-    regions.sort(key=lambda r: box_key(r.first_box(), attrs))
-    return regions
-
-
-def refine_boxes(boxes: list[Box], attr: str, points: Iterable[int]) -> list[Box]:
-    """Cut every box at the given split points along one attribute.
-
-    Used for cross-sub-view consistency (§4.2): partitions of sub-views
-    sharing an attribute are refined at the union of their split points so
-    marginal distributions can be equated cell by cell.
-    """
-    pts = sorted(set(points))
-    out: list[Box] = []
-    for b in boxes:
-        iv = b[attr]
-        cuts = [p for p in pts if iv.lo < p < iv.hi]
-        lo = iv.lo
-        for p in cuts + [iv.hi]:
-            nb = dict(b)
-            nb[attr] = Interval(lo, p)
-            out.append(nb)
-            lo = p
-    return out
-
-
-def split_points(boxes: Iterable[Box], attr: str) -> set[int]:
-    """All interval boundaries a partition uses along ``attr``."""
-    pts: set[int] = set()
-    for b in boxes:
-        pts.add(b[attr].lo)
-        pts.add(b[attr].hi)
-    return pts
-
-
-import bisect
-
-import numpy as np
-
-
-def _partition_arrays(
-    attrs: Sequence[str],
-    domain: Mapping[str, Interval],
-    ccs: Sequence[CC],
-):
-    """Vectorized core of Algorithms 1+2: boxes as numpy arrays.
-
-    Returns ``(los, his, sig_ids, sig_table, labels)`` where row *i* of
-    ``los``/``his`` is a box, ``sig_ids[i]`` indexes ``sig_table`` (the
-    set of sub-constraints the box still fully satisfies), and ``labels``
-    maps each signature to its frozenset of satisfied CC indices. Same
-    semantics as the scalar path in :func:`optimal_partition`, engineered
-    for fused sub-views with hundreds of thousands of blocks.
-    """
-    subs = sub_constraints(ccs)
-    cc_of_sub: list[list[int]] = [[] for _ in subs]
-    si = 0
-    for j, cc in enumerate(ccs):
-        for c in cc.predicate.conjuncts:
-            if c.restrictions:
-                cc_of_sub[si].append(j)
-                si += 1
     true_ccs = frozenset(j for j, cc in enumerate(ccs) if cc.predicate.is_true)
 
     n = len(attrs)
@@ -271,7 +130,6 @@ def _partition_arrays(
         if not contiguous.any():
             return los, his, sig_ids
         new_group = np.concatenate([[True], ~contiguous])
-        gid = np.cumsum(new_group) - 1
         starts = np.flatnonzero(new_group)
         out_lo = lo_s[starts]
         out_hi = hi_s[starts].copy()
@@ -288,22 +146,12 @@ def _partition_arrays(
             alive_tab = np.fromiter(
                 (ci in s for s in sig_table), dtype=bool, count=len(sig_table)
             )
-            mask_alive = alive_tab[sig_ids]
             for p in (proj.lo, proj.hi):
-                strad = mask_alive & (los[:, di] < p) & (his[:, di] > p)
-                if strad.any():
-                    right_los = los[strad].copy()
-                    right_los[:, di] = p
-                    right_his = his[strad].copy()
-                    his[strad, di] = p  # left piece in place
-                    los = np.vstack([los, right_los])
-                    his = np.vstack([his, right_his])
-                    sig_ids = np.concatenate([sig_ids, sig_ids[strad]])
-                    mask_alive = np.concatenate(
-                        [mask_alive, np.ones(int(strad.sum()), dtype=bool)]
-                    )
+                los, his, sig_ids = _split_at(
+                    los, his, sig_ids, di, p, alive_tab[sig_ids]
+                )
             inside = (los[:, di] >= proj.lo) & (his[:, di] <= proj.hi)
-            out_mask = mask_alive & ~inside
+            out_mask = alive_tab[sig_ids] & ~inside
             if out_mask.any():
                 lut = np.arange(len(sig_table), dtype=np.int64)
                 for s in np.unique(sig_ids[out_mask]):
@@ -322,42 +170,28 @@ def _partition_arrays(
         true_ccs | frozenset(j for ci in sig for j in cc_of_sub[ci])
         for sig in sig_table
     ]
-    return los, his, sig_ids, sig_table, labels
+    return los, his, sig_ids, labels
 
 
 def partition_lp_regions(
     attrs: Sequence[str],
     domain: Mapping[str, Interval],
     ccs: Sequence[CC],
-    shared: Sequence[str],
-    boundaries_per_attr: Mapping[str, Sequence[int]],
+    boundaries: Mapping[str, Sequence[int]],
 ) -> list[Region]:
-    """Optimal partition + consistency refinement, fully vectorized.
+    """The sub-view's LP regions: optimal partition + consistency refinement.
 
-    Produces one LP region per (CC label × shared-attribute canonical
-    cell), each carrying a single representative box (the lexicographic
-    minimum — the deterministic §5.2 instantiation point). Downstream
-    stages only ever use the representative box, so the full box union is
-    not materialized.
+    ``boundaries`` maps each attribute shared with another sub-view to the
+    points its cells are cut at. Produces one region per (CC label ×
+    shared-attribute cell), in lexicographic order of their boxes.
     """
-    los, his, sig_ids, _, labels = _partition_arrays(attrs, domain, ccs)
+    los, his, sig_ids, labels = _partition_arrays(attrs, domain, ccs)
+    shared = [di for di, a in enumerate(attrs) if a in boundaries]
+    for di in shared:
+        for p in sorted(boundaries[attrs[di]]):
+            los, his, sig_ids = _split_at(los, his, sig_ids, di, p)
 
-    # Refine at shared-attribute boundaries.
-    for a in shared:
-        di = attrs.index(a)
-        for p in sorted(boundaries_per_attr.get(a, ())):
-            strad = (los[:, di] < p) & (his[:, di] > p)
-            if strad.any():
-                right_los = los[strad].copy()
-                right_los[:, di] = p
-                right_his = his[strad].copy()
-                his[strad, di] = p
-                los = np.vstack([los, right_los])
-                his = np.vstack([his, right_his])
-                sig_ids = np.concatenate([sig_ids, sig_ids[strad]])
-
-    # Canonical cell ids per shared attribute.
-    label_ids = {}
+    label_ids: dict[frozenset[int], int] = {}
     label_list: list[frozenset[int]] = []
     lab_of_sig = np.empty(len(labels), dtype=np.int64)
     for i, lab in enumerate(labels):
@@ -365,105 +199,39 @@ def partition_lp_regions(
             label_ids[lab] = len(label_list)
             label_list.append(lab)
         lab_of_sig[i] = label_ids[lab]
-    keys = [lab_of_sig[sig_ids]]
-    cell_bounds: list[tuple[str, np.ndarray]] = []
-    for a in shared:
-        di = attrs.index(a)
-        bnds = np.array(
-            sorted(
-                set(boundaries_per_attr.get(a, ()))
-                | {domain[a].lo, domain[a].hi}
-            ),
-            dtype=np.int64,
-        )
-        cell = np.searchsorted(bnds, los[:, di], side="right") - 1
-        keys.append(cell)
-        cell_bounds.append((a, bnds))
-
-    key_mat = np.stack(keys, axis=1)
-    # Lexicographic order of boxes so the group representative is minimal.
-    order = np.lexsort(tuple(his[:, di] for di in reversed(range(len(attrs)))) +
-                       tuple(los[:, di] for di in reversed(range(len(attrs)))))
-    key_sorted = key_mat[order]
-    _, first_idx = np.unique(key_sorted, axis=0, return_index=True)
-    out: list[Region] = []
-    for fi in first_idx:
-        row = order[fi]
-        lab = label_list[int(key_mat[row, 0])]
-        box = tuple(
-            (a, Interval(int(los[row, di]), int(his[row, di])))
-            for di, a in enumerate(attrs)
-        )
-        out.append(Region((box,), lab))
-    out.sort(key=lambda r: box_key(r.first_box(), attrs))
-    return out
-
-
-def canonical_cell(iv: Interval, boundaries: Sequence[int]) -> tuple[int, int]:
-    """The cell of the sorted ``boundaries`` grid containing ``iv``.
-
-    ``iv`` must not straddle a boundary (guaranteed after
-    :func:`refine_boxes` at those boundaries).
-    """
-    i = bisect.bisect_right(boundaries, iv.lo) - 1
-    lo = boundaries[i] if i >= 0 else iv.lo
-    hi = boundaries[i + 1] if i + 1 < len(boundaries) else iv.hi
-    return (lo, max(hi, iv.hi))
-
-
-def refine_regions_for_consistency(
-    regions: list[Region],
-    attrs: Sequence[str],
-    shared: Sequence[str],
-    boundaries_per_attr: Mapping[str, Sequence[int]],
-) -> list[Region]:
-    """Refine a region partition so every region projects onto exactly one
-    *canonical cell* of the shared-attribute grid.
-
-    ``boundaries_per_attr`` maps each shared attribute to its sorted grid
-    boundaries (domain edges included). Two steps: (1) cut each region's
-    boxes at the interior boundaries; (2) split regions whose boxes land in
-    different cells into one sub-region per cell. Labels are inherited —
-    the refinement only subdivides, so CC satisfaction is unchanged.
-    """
-    if not shared:
-        return regions
-    boundaries_per_attr = {
-        a: sorted(pts) for a, pts in boundaries_per_attr.items()
-    }
-
-    def cell_of(b: Box) -> tuple:
-        return tuple(
-            canonical_cell(b[a], boundaries_per_attr.get(a, ())) for a in shared
-        )
-
-    out: list[Region] = []
-    for r in regions:
-        boxes = r.box_dicts()
-        for a in shared:
-            boxes = refine_boxes(boxes, a, boundaries_per_attr.get(a, ()))
-        by_cell: dict[tuple, list[Box]] = {}
-        for b in boxes:
-            by_cell.setdefault(cell_of(b), []).append(b)
-        for cell, boxes_in_cell in sorted(by_cell.items()):
-            boxes_in_cell.sort(key=lambda b: box_key(b, attrs))
-            out.append(
-                Region(tuple(_freeze(b, attrs) for b in boxes_in_cell), r.label)
-            )
-    out.sort(key=lambda r: box_key(r.first_box(), attrs))
-    return out
-
-
-def shared_cell(
-    region: Region,
-    shared: Sequence[str],
-    boundaries_per_attr: Mapping[str, Sequence[int]] | None = None,
-) -> tuple:
-    """The canonical shared-attribute cell a refined region lies in."""
-    b = region.first_box()
-    if boundaries_per_attr is None:
-        return tuple((b[a].lo, b[a].hi) for a in shared)
-    return tuple(
-        canonical_cell(b[a], sorted(boundaries_per_attr.get(a, ())))
-        for a in shared
+    # Group key: label, then the cell index on each shared attribute.
+    key_mat = np.stack(
+        [lab_of_sig[sig_ids]]
+        + [
+            np.searchsorted(sorted(boundaries[attrs[di]]), los[:, di], side="right")
+            for di in shared
+        ],
+        axis=1,
     )
+    # Blocks in lexicographic order of their (distinct) lower corners, so
+    # each group's first block is its minimum.
+    order = np.lexsort(los.T[::-1])
+    _, first = np.unique(key_mat[order], axis=0, return_index=True)
+    reps = order[np.sort(first)]
+    # Build each distinct interval once; regions share them.
+    columns = []
+    for di in range(len(attrs)):
+        ivs: dict[tuple[int, int], Interval] = {}
+        columns.append([
+            ivs.get(k) or ivs.setdefault(k, Interval(*k))
+            for k in zip(los[reps, di].tolist(), his[reps, di].tolist())
+        ])
+    return [
+        Region(dict(zip(attrs, box)), label_list[k])
+        for box, k in zip(zip(*columns), key_mat[reps, 0].tolist())
+    ]
+
+
+def shared_cell(region: Region, shared: Sequence[str]) -> tuple:
+    """The shared-attribute cell a region lies in.
+
+    The LP builder's boundaries include every CC constant on a shared
+    attribute, so after refinement at them a region's interval on that
+    attribute is exactly one cell, in region and grid mode alike.
+    """
+    return tuple((region.box[a].lo, region.box[a].hi) for a in shared)

@@ -66,47 +66,68 @@ class QuerySpec:
                 raise ValueError(f"filter on {t} uses foreign attrs {p.attrs - own}")
 
 
+def _join_path(schema: Schema, tables: dict, names: tuple[str, ...], join):
+    """Join ``names`` root-first, each along the FK edge from an
+    already-joined relation; ``join(left, right, fk, pk)`` is the backend's
+    inner equi-join."""
+    out = tables[names[0]]
+    for i, t in enumerate(names[1:], 1):
+        src_fk = next(
+            (
+                fk
+                for r in names[:i]
+                for fk, target in schema[r].fks.items()
+                if target == t and fk in out.columns
+            ),
+            None,
+        )
+        assert src_fk is not None, f"no FK edge into {t}"
+        out = join(out, tables[t], src_fk, schema[t].pk)
+    return out
+
+
 def _join_pandas(
     schema: Schema, tables: dict[str, pd.DataFrame], names: tuple[str, ...]
 ) -> pd.DataFrame:
-    out = tables[names[0]]
-    joined = [names[0]]
-    for t in names[1:]:
-        # Find the FK edge from an already-joined relation to t.
-        src_fk = None
-        for r in joined:
-            for fk, target in schema[r].fks.items():
-                if target == t and fk in out.columns:
-                    src_fk = fk
-                    break
-            if src_fk:
-                break
-        assert src_fk is not None, f"no FK edge into {t}"
-        out = out.merge(
-            tables[t], left_on=src_fk, right_on=schema[t].pk, how="inner"
-        )
-        joined.append(t)
-    return out
+    return _join_path(
+        schema,
+        tables,
+        names,
+        lambda left, right, fk, pk: left.merge(
+            right, left_on=fk, right_on=pk, how="inner"
+        ),
+    )
 
 
 def _join_spark(
     schema: Schema, tables: dict[str, DataFrame], names: tuple[str, ...]
 ) -> DataFrame:
-    out = tables[names[0]]
-    joined = [names[0]]
-    for t in names[1:]:
-        src_fk = None
-        for r in joined:
-            for fk, target in schema[r].fks.items():
-                if target == t and fk in out.columns:
-                    src_fk = fk
-                    break
-            if src_fk:
-                break
-        assert src_fk is not None, f"no FK edge into {t}"
-        out = out.join(tables[t], on=F.col(src_fk) == F.col(schema[t].pk), how="inner")
-        joined.append(t)
-    return out
+    return _join_path(
+        schema,
+        tables,
+        names,
+        lambda left, right, fk, pk: left.join(
+            right, on=F.col(fk) == F.col(pk), how="inner"
+        ),
+    )
+
+
+def _count_pandas(
+    schema: Schema, tables: dict[str, pd.DataFrame], names: tuple[str, ...], pred: Predicate
+) -> int:
+    """Rows of ``σ_pred(names[0] ⋈ names[1] ⋈ …)`` on pandas frames."""
+    joined = _join_pandas(schema, tables, names)
+    return len(joined) if pred.is_true else int(pred.mask(joined).sum())
+
+
+def _count_spark(
+    schema: Schema, tables: dict[str, DataFrame], names: tuple[str, ...], pred: Predicate
+) -> int:
+    """The same count as one Spark job."""
+    joined = _join_spark(schema, tables, names)
+    if not pred.is_true:
+        joined = joined.filter(F.expr(pred.to_sql()))
+    return joined.count()
 
 
 def _prefix_predicate(q: QuerySpec, prefix: tuple[str, ...]) -> Predicate:
@@ -116,63 +137,55 @@ def _prefix_predicate(q: QuerySpec, prefix: tuple[str, ...]) -> Predicate:
     return pred
 
 
-def derive_ccs_pandas(
-    schema: Schema, tables: dict[str, pd.DataFrame], queries: list[QuerySpec]
-) -> list[RawCC]:
-    """Execute every query's plan on pandas frames and emit its CCs."""
-    raw: list[RawCC] = []
+def _aqp_ccs(
+    schema: Schema, queries: list[QuerySpec]
+) -> list[tuple[tuple[str, ...], Predicate]]:
+    """The distinct annotated edges of the queries' AQPs, in emit order.
+
+    Each is ``(join order, predicate)``; an edge shared by several queries
+    is kept at its first occurrence, so it is counted once. The order fixes
+    the CC order and hence the order of the LP rows.
+    """
+    out: list[tuple[tuple[str, ...], Predicate]] = []
     seen: set[tuple] = set()
 
-    def emit(tbls: frozenset[str], pred: Predicate, count: int) -> None:
-        key = (tbls, pred)
+    def emit(names: tuple[str, ...], pred: Predicate) -> None:
+        key = (frozenset(names), pred)
         if key not in seen:
             seen.add(key)
-            raw.append(RawCC(tables=tbls, predicate=pred, count=count))
+            out.append((names, pred))
 
     for q in queries:
         q.validate(schema)
         for t in q.tables:
-            emit(frozenset({t}), Predicate.true(), len(tables[t]))
+            emit((t,), Predicate.true())
             p = q.filter_of(t)
             if not p.is_true:
-                emit(frozenset({t}), p, int(p.mask(tables[t]).sum()))
+                emit((t,), p)
         for i in range(2, len(q.tables) + 1):
             prefix = q.tables[:i]
-            joined = _join_pandas(schema, tables, prefix)
-            pred = _prefix_predicate(q, prefix)
-            count = int(pred.mask(joined).sum()) if not pred.is_true else len(joined)
-            emit(frozenset(prefix), pred, count)
-    return raw
+            emit(prefix, _prefix_predicate(q, prefix))
+    return out
+
+
+def derive_ccs_pandas(
+    schema: Schema, tables: dict[str, pd.DataFrame], queries: list[QuerySpec]
+) -> list[RawCC]:
+    """Execute every query's plan on pandas frames and emit its CCs."""
+    return [
+        RawCC(frozenset(names), pred, _count_pandas(schema, tables, names, pred))
+        for names, pred in _aqp_ccs(schema, queries)
+    ]
 
 
 def derive_ccs_spark(
     schema: Schema, tables: dict[str, DataFrame], queries: list[QuerySpec]
 ) -> list[RawCC]:
     """Same AQP derivation, executed on Spark (real shuffle-join plans)."""
-    raw: list[RawCC] = []
-    seen: set[tuple] = set()
-
-    def emit(tbls: frozenset[str], pred: Predicate, count: int) -> None:
-        key = (tbls, pred)
-        if key not in seen:
-            seen.add(key)
-            raw.append(RawCC(tables=tbls, predicate=pred, count=count))
-
-    for q in queries:
-        q.validate(schema)
-        for t in q.tables:
-            emit(frozenset({t}), Predicate.true(), tables[t].count())
-            p = q.filter_of(t)
-            if not p.is_true:
-                emit(frozenset({t}), p, tables[t].filter(F.expr(p.to_sql())).count())
-        for i in range(2, len(q.tables) + 1):
-            prefix = q.tables[:i]
-            joined = _join_spark(schema, tables, prefix)
-            pred = _prefix_predicate(q, prefix)
-            if not pred.is_true:
-                joined = joined.filter(F.expr(pred.to_sql()))
-            emit(frozenset(prefix), pred, joined.count())
-    return raw
+    return [
+        RawCC(frozenset(names), pred, _count_spark(schema, tables, names, pred))
+        for names, pred in _aqp_ccs(schema, queries)
+    ]
 
 
 def base_size_ccs(

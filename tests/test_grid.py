@@ -8,6 +8,9 @@ from repro.core.grid import (
     grid_partition,
     grid_variable_count,
 )
+from repro.core.regions import partition_lp_regions
+
+from .reference_partition import optimal_partition
 
 PERSON_DOMAIN = {"age": Interval(0, 100), "salary": Interval(0, 100)}
 
@@ -46,9 +49,7 @@ class TestGridCounts:
         assert grid_variable_count(("age", "salary"), PERSON_DOMAIN, person_ccs()) == 16
 
     def test_region_vs_grid_gap(self):
-        from repro.core.regions import optimal_partition
-
-        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        regions = partition_lp_regions(("age", "salary"), PERSON_DOMAIN, person_ccs(), {})
         assert len(regions) == 4
         assert grid_variable_count(("age", "salary"), PERSON_DOMAIN, person_ccs()) == 16
 
@@ -64,27 +65,48 @@ class TestGridCounts:
 
 class TestGridPartition:
     def test_cells_are_single_boxes(self):
-        cells = grid_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        cells = grid_partition(("age", "salary"), PERSON_DOMAIN, person_ccs(), {})
         assert len(cells) == 16
-        assert all(len(c.boxes) == 1 for c in cells)
+        assert [(c.box["age"].lo, c.box["salary"].lo) for c in cells] == [
+            (age, sal) for age in (0, 20, 40, 60) for sal in (0, 20, 40, 60)
+        ]
 
     def test_labels_consistent_with_region_partition(self):
-        from repro.core.regions import optimal_partition
-
         ccs = person_ccs()
-        cells = grid_partition(("age", "salary"), PERSON_DOMAIN, ccs)
-        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, ccs)
-        # Total area per label must agree between the two partitions.
+        cells = grid_partition(("age", "salary"), PERSON_DOMAIN, ccs, {})
+        # Total area per label must agree with the scalar optimal partition.
         def area_by_label(parts):
             out = {}
-            for r in parts:
-                a = sum(
-                    b["age"].width() * b["salary"].width() for b in r.box_dicts()
-                )
-                out[r.label] = out.get(r.label, 0) + a
+            for label, boxes in parts:
+                a = sum(b["age"].width() * b["salary"].width() for b in boxes)
+                out[label] = out.get(label, 0) + a
             return out
 
-        assert area_by_label(cells) == area_by_label(regions)
+        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, ccs)
+        assert area_by_label((c.label, [c.box]) for c in cells) == area_by_label(
+            (r.label, r.box_dicts()) for r in regions
+        )
+
+    def test_cells_cut_at_shared_boundaries(self):
+        ccs = [CC("v", Predicate.of(a=(0, 50)), 5), total_cc("v", 10)]
+        cells = grid_partition(
+            ("a", "b"), {"a": Interval(0, 100), "b": Interval(0, 10)}, ccs, {"a": [25, 50]}
+        )
+        assert [(c.box["a"], sorted(c.label)) for c in cells] == [
+            (Interval(0, 25), [0, 1]),
+            (Interval(25, 50), [0, 1]),
+            (Interval(50, 100), [1]),
+        ]
+
+    def test_cells_tile_domain_with_boundaries(self):
+        """Boundaries only subdivide cells, and the cap still applies to the
+        analytic ∏ℓᵢ, not to the subdivided cell count."""
+        ccs = [CC("v", Predicate.of(a=(0, 50)), 5), total_cc("v", 10)]
+        cells = grid_partition(
+            ("a",), {"a": Interval(0, 100)}, ccs, {"a": [10, 20, 99]}, cell_cap=2
+        )
+        assert [c.box["a"].lo for c in cells] == [0, 10, 20, 50, 99]
+        assert sum(c.box["a"].width() for c in cells) == 100
 
     def test_cap_raises_grid_too_large(self):
         attrs = tuple(f"a{i}" for i in range(10))
@@ -93,5 +115,5 @@ class TestGridPartition:
             total_cc("v", 100)
         ]
         with pytest.raises(GridTooLarge) as exc:
-            grid_partition(attrs, domain, ccs, cell_cap=100)
+            grid_partition(attrs, domain, ccs, {}, cell_cap=100)
         assert exc.value.n_cells == 1024

@@ -93,16 +93,14 @@ class TestConsistencyAcrossSubviews:
             total=1000,
         )
 
-    def test_marginals_match_on_shared_attr(self):
-        form = solve_view(formulate_view(self._plan(), mode="region"))
+    def _assert_marginals_match(self, form):
         x = form.solution
         s1, s2 = form.subviews
 
         def marginal(s):
             out = {}
             for i, r in enumerate(s.regions):
-                box = r.first_box()
-                cell = (box["b"].lo, box["b"].hi)
+                cell = (r.box["b"].lo, r.box["b"].hi)
                 out[cell] = out.get(cell, 0) + int(x[s.offset + i])
             return {k: v for k, v in out.items() if v}
 
@@ -111,6 +109,16 @@ class TestConsistencyAcrossSubviews:
         # Cell-level equality — the consistency constraints at work.
         for cell in set(m1) | set(m2):
             assert m1.get(cell, 0) == m2.get(cell, 0)
+
+    def test_marginals_match_on_shared_attr(self):
+        self._assert_marginals_match(solve_view(formulate_view(self._plan(), mode="region")))
+
+    def test_grid_marginals_match_on_shared_attr(self):
+        form = solve_view(formulate_view(self._plan(), mode="grid"))
+        # Both sub-views' grid cells on the shared attribute b coincide.
+        for s in form.subviews:
+            assert {r.box["b"] for r in s.regions} == {Interval(0, 25), Interval(25, 50)}
+        self._assert_marginals_match(form)
 
     def test_both_subview_totals_equal_view_total(self):
         form = solve_view(formulate_view(self._plan(), mode="region"))
@@ -143,8 +151,9 @@ class TestToySchemaFormulation:
         plans = plan_views(sch, rewrite_ccs(sch, raw))
         for plan in plans.values():
             form = solve_view(formulate_view(plan, mode="region"))
-            assert form.solution is not None
-            assert int(form.solution[: form.subviews[0].n_vars].sum() if False else 0) == 0 or True
+            for s in form.subviews:
+                assert int(form.solution[s.offset : s.offset + s.n_vars].sum()) == plan.total
+            assert not np.any(form.system.residuals(form.solution))
 
     def test_region_vars_fewer_than_grid_vars(self):
         sch = toy_schema()

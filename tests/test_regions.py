@@ -2,22 +2,20 @@
 
 The §3.2 "Person" view (Figure 3) must produce exactly 4 regions where
 grid-partitioning produces 16 cells, and the LP constraints must take the
-Figure 4b shape.
+Figure 4b shape. The production engine is checked against the scalar
+reference transcription of Algorithms 1+2 in ``reference_partition``.
 """
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import CC, Conjunct, Interval, Predicate, total_cc
 from repro.core.regions import (
-    Region,
-    optimal_partition,
-    refine_boxes,
-    refine_regions_for_consistency,
+    _partition_arrays,
+    box_key,
+    partition_lp_regions,
     shared_cell,
-    split_interval,
-    split_points,
-    valid_partition,
 )
+
+from .reference_partition import optimal_partition, split_interval
 
 
 def person_ccs():
@@ -31,6 +29,30 @@ def person_ccs():
 
 
 PERSON_DOMAIN = {"age": Interval(0, 100), "salary": Interval(0, 100)}
+
+
+def regions_of(attrs, domain, ccs):
+    """The production entry point on a sub-view sharing no attribute."""
+    return partition_lp_regions(attrs, domain, ccs, {})
+
+
+def blocks_of(attrs, domain, ccs):
+    """The engine's final blocks as ``(box, label)`` pairs."""
+    los, his, sig_ids, labels = _partition_arrays(attrs, domain, ccs)
+    return [
+        ({a: Interval(int(lo[d]), int(hi[d])) for d, a in enumerate(attrs)}, labels[s])
+        for lo, hi, s in zip(los, his, sig_ids)
+    ]
+
+
+def area_by_label(attrs, blocks):
+    out = {}
+    for box, label in blocks:
+        area = 1
+        for a in attrs:
+            area *= box[a].width()
+        out[label] = out.get(label, 0) + area
+    return out
 
 
 class TestSplitInterval:
@@ -56,14 +78,12 @@ class TestSplitInterval:
 
 class TestValidPartition:
     def test_no_constraints_single_block(self):
-        blocks = valid_partition(("a",), {"a": Interval(0, 10)}, [])
-        assert blocks == [{"a": Interval(0, 10)}]
+        blocks = blocks_of(("a",), {"a": Interval(0, 10)}, [])
+        assert blocks == [({"a": Interval(0, 10)}, frozenset())]
 
     def test_blocks_partition_domain(self):
-        subs = [Conjunct.of(age=(0, 40), salary=(0, 40)), Conjunct.of(age=(20, 60), salary=(20, 60))]
-        blocks = valid_partition(("age", "salary"), PERSON_DOMAIN, subs)
-        total = sum(b["age"].width() * b["salary"].width() for b in blocks)
-        assert total == 100 * 100
+        blocks = blocks_of(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        assert sum(area_by_label(("age", "salary"), blocks).values()) == 100 * 100
 
     def test_blocks_uniform_per_subconstraint(self):
         """Every block is fully inside or fully outside each conjunct (as a
@@ -71,8 +91,7 @@ class TestValidPartition:
         Blocks already outside on one dimension MAY straddle boundaries on
         another (the pruning that keeps the partition small)."""
         subs = [Conjunct.of(age=(0, 40), salary=(0, 40)), Conjunct.of(age=(20, 60), salary=(20, 60))]
-        blocks = valid_partition(("age", "salary"), PERSON_DOMAIN, subs)
-        for b in blocks:
+        for b, _ in blocks_of(("age", "salary"), PERSON_DOMAIN, person_ccs()):
             for c in subs:
                 corner_vals = set()
                 for age in (b["age"].lo, b["age"].hi - 1):
@@ -81,30 +100,26 @@ class TestValidPartition:
                 assert len(corner_vals) == 1
 
     def test_pruning_beats_grid(self):
-        subs = [Conjunct.of(age=(0, 40), salary=(0, 40)), Conjunct.of(age=(20, 60), salary=(20, 60))]
-        blocks = valid_partition(("age", "salary"), PERSON_DOMAIN, subs)
+        blocks = blocks_of(("age", "salary"), PERSON_DOMAIN, person_ccs())
         assert len(blocks) < 16  # strictly fewer than the 4×4 grid
 
 
 class TestOptimalPartitionPaperExamples:
     def test_person_has_four_regions(self):
-        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        regions = regions_of(("age", "salary"), PERSON_DOMAIN, person_ccs())
         assert len(regions) == 4  # Figure 3b
 
     def test_person_labels_match_figure_4b(self):
-        ccs = person_ccs()
-        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, ccs)
+        regions = regions_of(("age", "salary"), PERSON_DOMAIN, person_ccs())
         # y1: only CC0 (+total); y2: CC0 and CC1; y3: only CC1; y4: only total.
         labels = sorted(tuple(sorted(r.label)) for r in regions)
         assert labels == [(0, 1, 2), (0, 2), (1, 2), (2,)]
 
     def test_person_region_areas(self):
-        regions = optimal_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        blocks = blocks_of(("age", "salary"), PERSON_DOMAIN, person_ccs())
         area = {
-            tuple(sorted(r.label)): sum(
-                b["age"].width() * b["salary"].width() for b in r.box_dicts()
-            )
-            for r in regions
+            tuple(sorted(label)): a
+            for label, a in area_by_label(("age", "salary"), blocks).items()
         }
         assert area[(0, 2)] + area[(0, 1, 2)] == 40 * 40  # CC0 area
         assert area[(1, 2)] + area[(0, 1, 2)] == 40 * 40  # CC1 area
@@ -114,15 +129,13 @@ class TestOptimalPartitionPaperExamples:
     def test_dnf_constraint_regions(self):
         # ((a<=20) ∧ (b>30)) ∨ (a>50): 1 CC → 2 regions (in/out).
         p = Predicate((Conjunct.of(a=(0, 21), b=(31, 100)), Conjunct.of(a=(51, 100))))
-        regions = optimal_partition(
-            ("a", "b"),
-            {"a": Interval(0, 100), "b": Interval(0, 100)},
-            [CC("v", p, 10), total_cc("v", 100)],
-        )
+        domain = {"a": Interval(0, 100), "b": Interval(0, 100)}
+        ccs = [CC("v", p, 10), total_cc("v", 100)]
+        regions = regions_of(("a", "b"), domain, ccs)
         assert len(regions) == 2
-        in_region = next(r for r in regions if 0 in r.label)
-        area = sum(b["a"].width() * b["b"].width() for b in in_region.box_dicts())
-        assert area == 21 * 69 + 49 * 100  # |a∈[0,21)|·|b∈[31,100)| + |a∈[51,100)|·100
+        area = area_by_label(("a", "b"), blocks_of(("a", "b"), domain, ccs))
+        # |a∈[0,21)|·|b∈[31,100)| + |a∈[51,100)|·100
+        assert area[frozenset({0, 1})] == 21 * 69 + 49 * 100
 
     def test_disjoint_ccs(self):
         ccs = [
@@ -130,11 +143,14 @@ class TestOptimalPartitionPaperExamples:
             CC("v", Predicate.of(a=(20, 30)), 7),
             total_cc("v", 100),
         ]
-        regions = optimal_partition(("a",), {"a": Interval(0, 100)}, ccs)
-        # [0,10) / [10,20)∪[30,100) / [20,30): outside blocks merge.
+        regions = regions_of(("a",), {"a": Interval(0, 100)}, ccs)
+        # [0,10) / [10,20)∪[30,100) / [20,30): outside blocks merge into one
+        # region, represented by its first box.
         assert len(regions) == 3
         outside = next(r for r in regions if r.label == frozenset({2}))
-        assert len(outside.boxes) == 2
+        assert outside.box == {"a": Interval(10, 20)}
+        blocks = blocks_of(("a",), {"a": Interval(0, 100)}, ccs)
+        assert sum(1 for _, label in blocks if label == frozenset({2})) == 2
 
     def test_nested_ccs(self):
         ccs = [
@@ -142,12 +158,12 @@ class TestOptimalPartitionPaperExamples:
             CC("v", Predicate.of(a=(10, 20)), 2),
             total_cc("v", 10),
         ]
-        regions = optimal_partition(("a",), {"a": Interval(0, 100)}, ccs)
+        regions = regions_of(("a",), {"a": Interval(0, 100)}, ccs)
         assert len(regions) == 3
 
     def test_deterministic_output(self):
-        r1 = optimal_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
-        r2 = optimal_partition(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        r1 = regions_of(("age", "salary"), PERSON_DOMAIN, person_ccs())
+        r2 = regions_of(("age", "salary"), PERSON_DOMAIN, person_ccs())
         assert r1 == r2
 
 
@@ -162,53 +178,109 @@ class TestOptimalPartitionPaperExamples:
     )
 )
 def test_optimal_partition_is_valid_and_covers(bounds):
-    """Property: regions partition the domain and every region is label-pure
-    (checked point-wise on a 1-D domain)."""
+    """Property: the engine's blocks partition the domain, every block is
+    label-pure (checked point-wise on a 1-D domain), and regions have
+    distinct labels."""
     ccs = [CC("v", Predicate.of(a=b), 1) for b in bounds] + [total_cc("v", 10)]
-    regions = optimal_partition(("a",), {"a": Interval(0, 100)}, ccs)
     covered = 0
-    for r in regions:
-        for box in r.box_dicts():
-            covered += box["a"].width()
-            for v in (box["a"].lo, box["a"].hi - 1):
-                sat = frozenset(
-                    i for i, cc in enumerate(ccs) if cc.predicate.matches_point({"a": v})
-                )
-                assert sat == r.label
+    for box, label in blocks_of(("a",), {"a": Interval(0, 100)}, ccs):
+        covered += box["a"].width()
+        for v in (box["a"].lo, box["a"].hi - 1):
+            sat = frozenset(
+                i for i, cc in enumerate(ccs) if cc.predicate.matches_point({"a": v})
+            )
+            assert sat == label
     assert covered == 100
     # Distinct labels ⇒ minimality (Lemma 4.3: quotient set is optimal).
-    labels = [r.label for r in regions]
+    labels = [r.label for r in regions_of(("a",), {"a": Interval(0, 100)}, ccs)]
     assert len(labels) == len(set(labels))
 
 
+def reference_lp_regions(attrs, domain, ccs, boundaries):
+    """Scalar reference for the engine's output: the optimal partition with
+    every box cut at ``boundaries``, one region per (label, cell), each
+    represented by its lexicographically first box."""
+    groups = {}
+    for region in optimal_partition(attrs, domain, ccs):
+        pieces = region.box_dicts()
+        for a, points in boundaries.items():
+            cut = []
+            for box in pieces:
+                edges = sorted({box[a].lo, box[a].hi} | {p for p in points if box[a].lo < p < box[a].hi})
+                cut += [{**box, a: Interval(lo, hi)} for lo, hi in zip(edges, edges[1:])]
+            pieces = cut
+        for box in pieces:
+            cell = tuple(sum(p <= box[a].lo for p in points) for a, points in boundaries.items())
+            corners = groups.setdefault((region.label, cell), [])
+            corners.append(box_key(box, attrs))
+    return sorted((min(corners), label) for (label, _), corners in groups.items())
+
+
+@st.composite
+def subviews(draw):
+    """A 1–3-attribute domain, DNF CCs over it and shared-attribute cuts."""
+    attrs = tuple(f"a{i}" for i in range(draw(st.integers(1, 3))))
+    domain = {a: Interval(0, draw(st.integers(1, 12))) for a in attrs}
+
+    def conjunct():
+        restricted = draw(st.lists(st.sampled_from(attrs), min_size=1, unique=True))
+        bounds = {}
+        for a in restricted:
+            lo = draw(st.integers(0, domain[a].hi - 1))
+            bounds[a] = (lo, draw(st.integers(lo + 1, domain[a].hi)))
+        return Conjunct.of(**bounds)
+
+    ccs = [
+        CC("v", Predicate(tuple(conjunct() for _ in range(draw(st.integers(1, 3))))), 1)
+        for _ in range(draw(st.integers(0, 4)))
+    ] + [total_cc("v", 10)]
+    shared = draw(st.lists(st.sampled_from(attrs), unique=True))
+    boundaries = {}
+    for a in shared:
+        # The LP builder passes every CC constant on a shared attribute,
+        # plus those of other sub-views.
+        own = [p for c in ccs for conj in c.predicate.conjuncts
+               for b, iv in conj.restrictions if b == a for p in (iv.lo, iv.hi)]
+        extra = draw(st.lists(st.integers(1, max(1, domain[a].hi - 1)), max_size=3))
+        boundaries[a] = sorted({p for p in own + extra if 0 < p < domain[a].hi})
+    return attrs, domain, ccs, boundaries
+
+
+@settings(max_examples=200, deadline=None)
+@given(subviews())
+def test_engine_matches_scalar_reference(case):
+    """Differential: same labels, representative lower corners and order as
+    the scalar reference, with and without shared-attribute cuts."""
+    attrs, domain, ccs, boundaries = case
+    got = partition_lp_regions(attrs, domain, ccs, {})
+    assert [(box_key(r.box, attrs), r.label) for r in got] == [
+        (box_key(r.first_box(), attrs), r.label)
+        for r in optimal_partition(attrs, domain, ccs)
+    ]
+    got = partition_lp_regions(attrs, domain, ccs, boundaries)
+    assert [(box_key(r.box, attrs), r.label) for r in got] == reference_lp_regions(
+        attrs, domain, ccs, boundaries
+    )
+    # Each region's shared interval is exactly one cell, which is what
+    # ``shared_cell`` reports.
+    for r in got:
+        for a, points in boundaries.items():
+            edges = [domain[a].lo, *points, domain[a].hi]
+            lo, hi = shared_cell(r, (a,))[0]
+            assert lo in edges and edges[edges.index(lo) + 1] == hi
+
+
 class TestConsistencyRefinement:
-    def test_refine_boxes_cuts_at_points(self):
-        boxes = [{"a": Interval(0, 100)}]
-        out = refine_boxes(boxes, "a", [30, 60])
-        assert [b["a"] for b in out] == [Interval(0, 30), Interval(30, 60), Interval(60, 100)]
-
-    def test_refine_regions_groups_by_shared_cell(self):
+    def test_regions_grouped_by_shared_cell(self):
         ccs = [CC("v", Predicate.of(a=(0, 50)), 5), total_cc("v", 10)]
-        regions = optimal_partition(
-            ("a", "b"), {"a": Interval(0, 100), "b": Interval(0, 10)}, ccs
+        regions = partition_lp_regions(
+            ("a", "b"),
+            {"a": Interval(0, 100), "b": Interval(0, 10)},
+            ccs,
+            {"a": [25, 50]},
         )
-        refined = refine_regions_for_consistency(
-            regions, ("a", "b"), ("a",), {"a": {0, 25, 50, 100}}
-        )
-        cells = {shared_cell(r, ("a",)) for r in refined}
-        assert ((0, 25),) in cells and ((25, 50),) in cells
-        # Every refined region's boxes all live in one shared cell.
-        for r in refined:
-            assert len({(b["a"].lo, b["a"].hi) for b in r.box_dicts()}) == 1
-
-    def test_refinement_preserves_coverage(self):
-        ccs = [CC("v", Predicate.of(a=(0, 50)), 5), total_cc("v", 10)]
-        regions = optimal_partition(("a",), {"a": Interval(0, 100)}, ccs)
-        refined = refine_regions_for_consistency(
-            regions, ("a",), ("a",), {"a": {10, 20, 99}}
-        )
-        assert sum(b["a"].width() for r in refined for b in r.box_dicts()) == 100
-
-    def test_split_points(self):
-        boxes = [{"a": Interval(0, 30)}, {"a": Interval(30, 100)}]
-        assert split_points(boxes, "a") == {0, 30, 100}
+        assert [(shared_cell(r, ("a",)), sorted(r.label)) for r in regions] == [
+            (((0, 25),), [0, 1]),
+            (((25, 50),), [0, 1]),
+            (((50, 100),), [1]),
+        ]

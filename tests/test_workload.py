@@ -75,6 +75,22 @@ class TestDeriveCCsPandas:
         raw2 = derive_ccs_pandas(sch, tables, toy_queries() + toy_queries())
         assert len(raw1) == len(raw2)
 
+    def test_counts_each_distinct_cc_once(self, client, monkeypatch):
+        """A CC shared by several queries (|r| in every one) is executed
+        once, not once per query."""
+        import repro.core.workload as workload
+
+        calls = []
+        count = workload._count_pandas
+
+        def counting(*args):
+            calls.append(args[2:])
+            return count(*args)
+
+        monkeypatch.setattr(workload, "_count_pandas", counting)
+        raw = derive_ccs_pandas(*client, toy_queries() + toy_queries())
+        assert len(calls) == len(raw)
+
     def test_base_size_ccs_tops_up(self, client):
         sch, tables = client
         raw = derive_ccs_pandas(sch, tables, toy_queries()[:1])  # touches r,s,t
